@@ -12,13 +12,15 @@ Perf trajectory: at the end of a benchmark session the per-figure wall-clock
 timings — together with the engine's simulated-cycle throughput
 (``cycles_per_second``), the number of cycles the time-warp engine skipped
 (``cycles_skipped``) and the simulation backend that produced them — are
-written to ``BENCH_steady.json`` / ``BENCH_transient.json`` (in
-``$BENCH_ARTIFACT_DIR``, default the current directory) so CI can archive
-them and compare against the committed baselines
-(``python -m repro.tools.bench_compare``).
+written to ``BENCH_steady.json`` / ``BENCH_transient.json`` in
+``$BENCH_ARTIFACT_DIR`` so CI can archive them and compare against the
+committed baselines (``python -m repro.tools.bench_compare``).  Without
+``BENCH_ARTIFACT_DIR`` nothing is written: a plain ``pytest`` run (tier-1
+collects this directory) must not overwrite the committed baselines at the
+repository root.
 
 The backend defaults to the committed baselines' backend and can be
-overridden per session with ``REPRO_BENCH_BACKEND=object|soa|soa-numba`` —
+overridden per session with ``REPRO_BENCH_BACKEND=object|soa|native`` —
 timings from different backends are different experiments, so
 ``bench_compare`` refuses to treat a cross-backend pair as a regression
 signal.  Regenerate the committed artifacts with the same backend they
@@ -144,9 +146,10 @@ def _write_artifact(path: Path, tests: Dict[str, Dict[str, object]]) -> None:
 
 def pytest_sessionfinish(session, exitstatus):
     """Write the BENCH_steady / BENCH_transient perf-trajectory artifacts."""
-    if not _BENCH_METRICS:
+    artifact_dir = os.environ.get("BENCH_ARTIFACT_DIR")
+    if not _BENCH_METRICS or not artifact_dir:
         return
-    out_dir = Path(os.environ.get("BENCH_ARTIFACT_DIR", "."))
+    out_dir = Path(artifact_dir)
     steady = {
         test: metrics
         for test, metrics in _BENCH_METRICS.items()

@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 #: Valid values of ``SimulationParameters.backend``.
-VALID_BACKENDS = frozenset({"object", "soa", "soa-numba"})
+VALID_BACKENDS = frozenset({"object", "soa", "native"})
 
 
 def default_backend() -> str:
@@ -49,9 +49,11 @@ def default_backend() -> str:
 
     Reads ``REPRO_BACKEND`` at *instantiation* time (not import time), so a
     test may monkeypatch the environment and every parameter set built
-    afterwards picks the override up.
+    afterwards picks the override up.  Without it the default is
+    ``"native"``, which runs the C core where it applies and the object
+    engine everywhere else.
     """
-    return os.environ.get("REPRO_BACKEND", "object")
+    return os.environ.get("REPRO_BACKEND", "native")
 
 
 @dataclass(frozen=True)
@@ -596,10 +598,10 @@ class SimulationParameters:
     pb_saturation_fraction: float = 0.50
 
     # Simulation backend.  ``"object"`` is the per-object router model;
-    # ``"soa"`` is the struct-of-arrays transcription of the same model
-    # (bit-identical results by contract); ``"soa-numba"`` additionally
-    # routes the batched kernels through numba when it is importable
-    # (pure-numpy fallback otherwise).  The default comes from the
+    # ``"soa"`` is the struct-of-arrays transcription of the same model;
+    # ``"native"`` runs healthy-Dragonfly MIN and Base in the compiled C
+    # core and falls back to ``"object"`` for everything else (all three
+    # are bit-identical by contract).  The default comes from the
     # ``REPRO_BACKEND`` environment variable when set, so a whole test or
     # benchmark session can be pointed at another backend without touching
     # call sites (this is how CI runs the tier-1 matrix).  See

@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 #: Version of the manifest line layout.
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 #: Version of the event-line layout (hop/snapshot/warp/perf records).
 TRACE_SCHEMA_VERSION = 1
 
@@ -90,6 +90,9 @@ def build_manifest(sim) -> dict:
         "trace_schema": TRACE_SCHEMA_VERSION,
         "config_hash": config_hash(params),
         "backend": params.backend,
+        # The engine that actually ran: "native" falls back to "object"
+        # for systems the C core does not cover.
+        "engine": sim.engine.kind,
         "seed": sim.seed,
         "routing": sim.routing.name,
         "pattern": sim.pattern.name,

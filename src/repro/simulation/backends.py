@@ -3,16 +3,17 @@
 The simulator supports several engine implementations over the same network
 model (see ``SimulationParameters.backend``):
 
+* ``"native"`` (the default) — the compiled C core
+  (:mod:`repro.simulation.native`) for healthy-Dragonfly MIN and Base runs
+  without probes; every other run, or a run where the core cannot be built,
+  falls back to the object engine;
 * ``"object"`` — the per-object router model (:class:`~repro.simulation.engine.Engine`);
 * ``"soa"`` — the struct-of-arrays transcription of the same model
-  (:class:`~repro.simulation.soa.SoAEngine`), bit-identical to ``"object"``
-  and several times faster under contention;
-* ``"soa-numba"`` — the SoA engine with its batched kernels compiled by
-  numba when importable, falling back to the pure-numpy kernels otherwise
-  (still bit-identical).
+  (:class:`~repro.simulation.soa.SoAEngine`).
 
-The SoA package is imported lazily so the default object backend keeps its
-import footprint.
+All three are bit-identical.  ``engine.kind`` says which engine runs.  The
+SoA package is imported lazily so the other backends keep their import
+footprint.
 """
 
 from __future__ import annotations
@@ -37,10 +38,15 @@ def create_engine(
     time_warp: bool = True,
     faults=None,
 ) -> Engine:
-    """Build the engine implementation selected by ``backend``."""
+    """Build the Python engine selected by ``backend`` over ``network``.
+
+    ``"native"`` gets the object engine here: this is its fallback, taken
+    when :func:`repro.simulation.native.native_engine` declined the run
+    (the simulator asks it first, before any :class:`Network` exists).
+    """
     if backend not in VALID_BACKENDS:
         raise ValueError(f"unknown backend {backend!r} (valid: {sorted(VALID_BACKENDS)})")
-    if backend == "object":
+    if backend != "soa":
         return Engine(
             network,
             traffic,
@@ -58,5 +64,4 @@ def create_engine(
         stall_watchdog_cycles=stall_watchdog_cycles,
         time_warp=time_warp,
         faults=faults,
-        use_numba=(backend == "soa-numba"),
     )

@@ -105,6 +105,10 @@ ENGINE_STATS = _EngineStats()
 class Engine:
     """Drives a :class:`~repro.network.network.Network` cycle by cycle."""
 
+    #: Which engine ran (recorded in run manifests): ``"object"`` here,
+    #: ``"soa"`` / ``"native"`` for the other backends.
+    kind = "object"
+
     __slots__ = (
         "network",
         "traffic",

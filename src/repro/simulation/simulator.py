@@ -25,6 +25,7 @@ from repro.network.network import Network
 from repro.obs import ObservationConfig, ObservationHub, build_manifest, phase_timer
 from repro.routing import create_routing
 from repro.simulation.backends import create_engine
+from repro.simulation.native import native_engine
 from repro.simulation.results import SteadyStateResult, TransientResult
 from repro.topology.base import Topology
 from repro.topology.faults import FaultModel, FaultRuntime
@@ -33,6 +34,12 @@ from repro.traffic import TrafficPattern, TransientTraffic, create_pattern
 from repro.traffic.bernoulli import BernoulliTrafficGenerator
 
 __all__ = ["Simulator"]
+
+
+def _require_count(name: str, value: int, minimum: int) -> None:
+    """Reject a cycle count below ``minimum`` at the API boundary."""
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 class Simulator:
@@ -102,7 +109,6 @@ class Simulator:
         self.routing = create_routing(routing, self.topology, params, self.rng)
         if self.faults is not None:
             self.routing.attach_faults(self.faults)
-        self.network = Network(self.topology, params, self.routing, faults=self.faults)
         if pattern_factory is not None:
             pattern = pattern_factory(self.topology)
         elif isinstance(pattern, str):
@@ -116,20 +122,55 @@ class Simulator:
             rng=self.payload_rng,
             arrival_rng=self.arrival_rng,
         )
+        self._stall_watchdog_cycles = stall_watchdog_cycles
+        self._time_warp = time_warp
+        if observation is None:
+            observation = ObservationConfig.from_env()
+        self._network: Optional[Network] = None
+        self.engine = None
+        if params.backend == "native" and observation is None:
+            # Probes read the object model, so observed runs never go native.
+            self.engine = native_engine(
+                self.topology,
+                self.routing,
+                self.traffic,
+                params,
+                faults=self.faults,
+                stall_watchdog_cycles=stall_watchdog_cycles,
+                time_warp=time_warp,
+            )
+        if self.engine is None:
+            self._build_object_engine()
+        self.obs: Optional[ObservationHub] = None
+        if observation is not None:
+            self.attach_observation(observation)
+
+    def _build_object_engine(self) -> None:
+        """Build the Python engine over the per-object network."""
         self.engine = create_engine(
-            params.backend,
+            self.params.backend,
             self.network,
             self.traffic,
             metrics=None,
-            stall_watchdog_cycles=stall_watchdog_cycles,
-            time_warp=time_warp,
+            stall_watchdog_cycles=self._stall_watchdog_cycles,
+            time_warp=self._time_warp,
             faults=self.faults,
         )
-        self.obs: Optional[ObservationHub] = None
-        if observation is None:
-            observation = ObservationConfig.from_env()
-        if observation is not None:
-            self.attach_observation(observation)
+
+    @property
+    def network(self) -> Network:
+        """The per-object network model the engine runs on.
+
+        A native run (``engine.kind == "native"``) keeps its state in the C
+        core and builds no network; for it this returns a *detached* model,
+        built on first access, which hand-built routing tests can use as a
+        router source but which never sees the simulated traffic.
+        """
+        if self._network is None:
+            self._network = Network(
+                self.topology, self.params, self.routing, faults=self.faults
+            )
+        return self._network
 
     # ------------------------------------------------------------ observation
     def attach_observation(
@@ -141,6 +182,14 @@ class Simulator:
             if isinstance(observation, ObservationHub)
             else ObservationHub(observation)
         )
+        if self.engine.kind == "native":
+            # Probes read the object model: switch engines while nothing has
+            # run yet (the switch consumes no random draw).
+            if self.engine.cycle != 0:
+                raise RuntimeError(
+                    "probes must be attached before a native run starts"
+                )
+            self._build_object_engine()
         self.obs = hub
         self.engine.attach_observation(hub)
         hub.set_manifest(build_manifest(self))
@@ -153,6 +202,7 @@ class Simulator:
 
     def run_cycles(self, cycles: int) -> None:
         """Advance the simulation without measuring (warm-up / drain)."""
+        _require_count("cycles", cycles, minimum=0)
         self.engine.run(cycles)
 
     # ----------------------------------------------------------- steady state
@@ -162,9 +212,16 @@ class Simulator:
         measure_cycles: int,
         drain_cycles: Optional[int] = None,
     ) -> SteadyStateResult:
-        """Warm up, measure for ``measure_cycles``, drain, and summarise."""
+        """Warm up, measure for ``measure_cycles``, drain, and summarise.
+
+        Raises ``ValueError`` for a negative warm-up or drain and for a
+        measurement window shorter than one cycle (it would report NaN).
+        """
+        _require_count("warmup_cycles", warmup_cycles, minimum=0)
+        _require_count("measure_cycles", measure_cycles, minimum=1)
         if drain_cycles is None:
             drain_cycles = self._default_drain_cycles()
+        _require_count("drain_cycles", drain_cycles, minimum=0)
         obs = self.obs
         with phase_timer(obs, "warmup"):
             self.run_cycles(warmup_cycles)

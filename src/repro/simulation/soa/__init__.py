@@ -1,11 +1,10 @@
-"""Struct-of-arrays simulation backend (``backend="soa"`` / ``"soa-numba"``).
+"""Struct-of-arrays simulation backend (``backend="soa"``).
 
 See :mod:`repro.simulation.soa.engine` for the determinism contract and
 :mod:`repro.simulation.soa.state` for the array layout.
 """
 
 from repro.simulation.soa.engine import SoAEngine
-from repro.simulation.soa.kernels import NUMBA_AVAILABLE, get_kernels
 from repro.simulation.soa.state import RouterView, SoAState
 
-__all__ = ["SoAEngine", "SoAState", "RouterView", "NUMBA_AVAILABLE", "get_kernels"]
+__all__ = ["SoAEngine", "SoAState", "RouterView"]

@@ -19,7 +19,7 @@ from three places:
   one RNG draw — runs per round, exactly as many times and in exactly the
   same order as the object model's ``select_output`` calls;
 * **batched broadcast kernels** — PB's saturation scan and ECtN's
-  combined-counter reduction run as numpy (optionally numba) kernels over
+  combined-counter reduction run as numpy kernels over
   gathered arrays (:mod:`repro.simulation.soa.kernels`);
 * **clean-router skipping** — an allocation pass that produced no grant and
   consumed no RNG draw is a pure function of state that only a known set of
@@ -84,7 +84,7 @@ from repro.routing.contention.base_contention import BaseContentionRouting
 from repro.routing.contention.hybrid import HybridContentionRouting
 from repro.routing.contention.ectn import ECtNRouting
 from repro.simulation.engine import Engine, SimulationStallError, ENGINE_STATS
-from repro.simulation.soa.kernels import get_kernels
+from repro.simulation.soa.kernels import combine_rows, pb_saturation_flags
 from repro.simulation.soa.state import SoAState
 from repro.topology.base import PortKind
 
@@ -128,12 +128,12 @@ _PURE_MECHS = (MinimalRouting, ValiantRouting, UGALRouting, PiggybackRouting)
 class SoAEngine(Engine):
     """Drop-in :class:`Engine` over :class:`SoAState` (see module doc)."""
 
+    kind = "soa"
+
     __slots__ = (
         "_st",
         "_mode",
         "_mech",
-        "_kernels",
-        "_use_numba",
         "_routing",
         "_notify_arrival",
         "_notify_head",
@@ -187,7 +187,6 @@ class SoAEngine(Engine):
         stall_watchdog_cycles: Optional[int] = 20_000,
         time_warp: bool = True,
         faults=None,
-        use_numba: bool = False,
     ):
         super().__init__(
             network,
@@ -197,8 +196,6 @@ class SoAEngine(Engine):
             time_warp=time_warp,
             faults=faults,
         )
-        self._use_numba = use_numba
-        self._kernels = get_kernels(use_numba)
         st = self._st = SoAState(network)
         routing = self._routing = network.routing
         proto = network.routers[0]
@@ -1499,7 +1496,7 @@ class SoAEngine(Engine):
         credit_occ = st.credit_occ
         for i, g in enumerate(self._pb_gidx):
             occ[i] = out_committed[g] + credit_occ[g]
-        flags_all = self._kernels.pb_saturation_flags(occ, self._pb_caps, self._pb_frac)
+        flags_all = pb_saturation_flags(occ, self._pb_caps, self._pb_frac)
         links = self._pb_links
         pending = routing._pending
         due = cycle + self._pb_delay
@@ -1529,9 +1526,8 @@ class SoAEngine(Engine):
             return
         partial = routing.partial
         combined = routing.combined
-        combine = self._kernels.combine_rows
         for group, rids in enumerate(self._ectn_group_rids):
-            combined[group] = combine([partial[rid] for rid in rids])
+            combined[group] = combine_rows([partial[rid] for rid in rids])
         # The broadcast feeds the injection-side trigger of every router.
         clean = self._st.alloc_clean
         for rid in range(len(clean)):

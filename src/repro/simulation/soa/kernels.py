@@ -1,4 +1,4 @@
-"""Batched numpy kernels of the SoA backend, with an optional numba layer.
+"""Batched numpy kernels of the SoA backend.
 
 These kernels implement the *network-wide broadcast* computations of the
 per-cycle loop — the pieces that touch every router of the network at once
@@ -12,12 +12,6 @@ and therefore vectorize cleanly:
 
 Both are exact integer/float64 arithmetic, identical to the scalar Python
 expressions of the object model, so results stay bit-identical.
-
-:func:`get_kernels` returns the kernel namespace for a backend: the numpy
-implementations, or — for ``backend="soa-numba"`` — ``@njit``-compiled
-versions of the same loops when numba is importable.  The import is guarded;
-without numba the numpy kernels are returned and ``backend_name`` reports
-the fallback, so ``"soa-numba"`` degrades gracefully instead of failing.
 """
 
 from __future__ import annotations
@@ -26,15 +20,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["NUMBA_AVAILABLE", "get_kernels", "NumpyKernels"]
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # type: ignore
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - the common case in this image
-    numba = None
-    NUMBA_AVAILABLE = False
+__all__ = ["pb_saturation_flags", "combine_rows"]
 
 
 def pb_saturation_flags(
@@ -52,60 +38,3 @@ def pb_saturation_flags(
 def combine_rows(rows: Sequence[Sequence[int]]) -> List[int]:
     """Column sums of the per-router partial arrays (ECtN broadcast)."""
     return np.sum(np.asarray(rows, dtype=np.int64), axis=0).tolist()
-
-
-class NumpyKernels:
-    """Kernel namespace: plain numpy implementations."""
-
-    backend_name = "numpy"
-    pb_saturation_flags = staticmethod(pb_saturation_flags)
-    combine_rows = staticmethod(combine_rows)
-
-
-if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed
-
-    @numba.njit(cache=True)
-    def _pb_saturation_flags_nb(occupancy, capacity, fraction):
-        n = occupancy.shape[0]
-        out = np.empty(n, dtype=np.bool_)
-        for i in range(n):
-            # Same float64 arithmetic as the numpy/scalar expression.
-            out[i] = occupancy[i] >= fraction * capacity[i]
-        return out
-
-    @numba.njit(cache=True)
-    def _combine_rows_nb(rows):
-        n_rows, n_cols = rows.shape
-        out = np.zeros(n_cols, dtype=np.int64)
-        for r in range(n_rows):
-            for c in range(n_cols):
-                out[c] += rows[r, c]
-        return out
-
-    class NumbaKernels:
-        """Kernel namespace: ``@njit``-compiled versions of the same loops."""
-
-        backend_name = "numba"
-
-        @staticmethod
-        def pb_saturation_flags(occupancy, capacity, fraction):
-            return _pb_saturation_flags_nb(occupancy, capacity, fraction)
-
-        @staticmethod
-        def combine_rows(rows):
-            return _combine_rows_nb(np.asarray(rows, dtype=np.int64)).tolist()
-
-else:
-    NumbaKernels = None  # type: ignore[assignment]
-
-
-def get_kernels(use_numba: bool):
-    """Return the kernel namespace for the requested flavour.
-
-    ``use_numba=True`` asks for the numba layer; when numba is not importable
-    the numpy kernels are returned instead (the documented pure-numpy
-    fallback of ``backend="soa-numba"``).
-    """
-    if use_numba and NUMBA_AVAILABLE:
-        return NumbaKernels
-    return NumpyKernels

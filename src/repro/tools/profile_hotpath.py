@@ -27,8 +27,9 @@ Scenarios
     idles for many cycles — the regime the time-warp engine accelerates.
 
 ``--backend`` points any scenario at a simulation backend (``object``,
-``soa`` or ``soa-numba``); run the same scenario once per backend to get a
-side-by-side hot-path picture.
+``soa`` or ``native``); run the same scenario once per backend to get a
+side-by-side hot-path picture (a native run profiles as one call into the
+core plus the Python traffic and metrics around it).
 
 Each run prints the simulated-cycle counts (executed vs warped-over) and
 wall-clock before the profile table, so a perf change is visible even
@@ -116,7 +117,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pattern", default="UN")
     parser.add_argument(
         "--backend",
-        choices=("object", "soa", "soa-numba"),
+        choices=("object", "soa", "native"),
         default="object",
         help="simulation backend to profile (default object)",
     )

@@ -85,14 +85,20 @@ def wedge_ejection_ports():
     Returns a function of a built ``Simulator``.  The wedge goes through
     whichever state the engine backend actually reads: the SoA engine
     copies the object network at construction and never consults it again,
-    so mutating the object routers would be a silent no-op there.
+    and the native engine keeps its state in C, so mutating the object
+    routers would be a silent no-op there.
     """
     from repro.topology.base import PortKind
 
     def _wedge(sim):
         engine = sim.engine
-        kinds = sim.network.topology.port_kinds
+        kinds = sim.topology.port_kinds
         ejection = [p for p, kind in enumerate(kinds) if kind is PortKind.INJECTION]
+        if engine.kind == "native":
+            for rid in range(sim.topology.num_routers):
+                for port in ejection:
+                    engine.set_link_busy(rid, port, 10**9)
+            return
         if hasattr(engine, "_st"):
             st = engine._st
             for rid in range(st.R):

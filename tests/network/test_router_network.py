@@ -73,6 +73,10 @@ class TestNetworkConstruction:
 class TestSinglePacketTraversal:
     def _deliver_one(self, params, src, dst, routing="MIN"):
         """Inject one packet and run until delivery; return (packet, cycles)."""
+        # Drives the object model's nodes and ``Engine.step`` directly; the
+        # native engine keeps its nodes in C.
+        if params.backend == "native":
+            params = params.with_backend("object")
         sim = Simulator(params, routing, "UN", offered_load=0.0, seed=3)
         packet = Packet(pid=0, src=src, dst=dst, size_phits=params.packet_size_phits, creation_cycle=0)
         sim.network.nodes[src].enqueue(packet)

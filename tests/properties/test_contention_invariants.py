@@ -116,6 +116,11 @@ class HopRecorder:
 
 def _run_recorded(topology: str, routing: str, pattern: str, load: float, seed: int):
     params = SimulationParameters.tiny(topology_preset(topology))
+    if params.backend == "native":
+        # The recorder wraps the Python on_grant hook, which the native core
+        # does not call (it is checked against these hooks decision by
+        # decision in tests/simulation/test_native_backend.py).
+        params = params.with_backend("object")
     sim = Simulator(params, routing, pattern, load, seed=seed)
     recorder = HopRecorder(sim)
     sim.run_steady_state(warmup_cycles=100, measure_cycles=200)

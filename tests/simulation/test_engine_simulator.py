@@ -123,3 +123,36 @@ class TestWatchdog:
                         stall_watchdog_cycles=50)
         sim.run_cycles(500)  # no traffic, no stall error
         assert sim.engine.delivered_packets == 0
+
+
+class TestArgumentValidation:
+    """Bad cycle counts are rejected at the API boundary, not run as no-ops."""
+
+    @pytest.fixture
+    def sim(self, tiny_params):
+        return Simulator(tiny_params, "MIN", "UN", offered_load=0.2, seed=1)
+
+    def test_empty_measurement_window_rejected(self, sim):
+        # Accepted silently before: the result read mean_latency=nan.
+        with pytest.raises(ValueError, match="measure_cycles"):
+            sim.run_steady_state(warmup_cycles=10, measure_cycles=0)
+
+    def test_negative_warmup_rejected(self, sim):
+        with pytest.raises(ValueError, match="warmup_cycles"):
+            sim.run_steady_state(warmup_cycles=-1, measure_cycles=10)
+
+    def test_negative_drain_rejected(self, sim):
+        with pytest.raises(ValueError, match="drain_cycles"):
+            sim.run_steady_state(warmup_cycles=10, measure_cycles=10, drain_cycles=-5)
+
+    def test_negative_run_cycles_rejected(self, sim):
+        # Accepted silently before: the call was a no-op.
+        with pytest.raises(ValueError, match="cycles"):
+            sim.run_cycles(-3)
+        assert sim.cycle == 0
+
+    def test_zero_counts_are_valid(self, sim):
+        sim.run_cycles(0)
+        result = sim.run_steady_state(warmup_cycles=0, measure_cycles=1, drain_cycles=0)
+        assert sim.cycle == 1
+        assert result.offered_load == 0.2

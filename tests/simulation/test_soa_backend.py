@@ -123,12 +123,6 @@ class TestPropertyGrid:
         assert soa_hash == obj_hash
         assert soa_cycle == obj_cycle
 
-    def test_soa_numba_matches_soa(self):
-        # Without numba installed this exercises the documented fallback;
-        # with numba it checks the compiled kernels change nothing.
-        combo = GRID[0]
-        assert _run("soa-numba", combo) == _run("soa", combo)
-
 
 class TestLockstepState:
     def _snapshot(self, engine):
@@ -292,20 +286,6 @@ class TestBatchedKernels:
         assert combined == expected
         assert all(isinstance(value, int) for value in combined)
 
-    def test_numba_request_degrades_to_numpy(self):
-        from repro.simulation.soa.kernels import (
-            NUMBA_AVAILABLE,
-            NumpyKernels,
-            get_kernels,
-        )
-
-        assert get_kernels(False) is NumpyKernels
-        kernels = get_kernels(True)
-        if NUMBA_AVAILABLE:
-            assert kernels.backend_name == "numba"
-        else:
-            assert kernels is NumpyKernels
-
 
 class TestBackendPlumbing:
     def test_invalid_backend_rejected(self):
@@ -327,10 +307,13 @@ class TestBackendPlumbing:
         assert default_backend() == "soa"
         assert SimulationParameters.tiny().backend == "soa"
         monkeypatch.delenv("REPRO_BACKEND")
-        assert SimulationParameters.tiny().backend == "object"
+        assert SimulationParameters.tiny().backend == "native"
 
-    def test_valid_backends_build_engines(self):
+    def test_valid_backends_build_engines(self, monkeypatch):
+        # Probes from the environment would send "native" to the object engine.
+        monkeypatch.delenv("REPRO_OBS", raising=False)
         from repro.simulation.engine import Engine
+        from repro.simulation.native.build import load_core
         from repro.simulation.soa import SoAEngine
 
         for backend in sorted(VALID_BACKENDS):
@@ -341,7 +324,12 @@ class TestBackendPlumbing:
                 0.1,
                 seed=1,
             )
+            if backend == "native" and load_core() is None:
+                # No compiler or cffi here: the documented fallback.
+                assert sim.engine.kind == "object"
+            else:
+                assert sim.engine.kind == backend
             if backend == "object":
                 assert type(sim.engine) is Engine
-            else:
+            elif backend == "soa":
                 assert isinstance(sim.engine, SoAEngine)

@@ -12,9 +12,15 @@ def _wedge_ejection_ports(sim, tiny_params):
     """Block every ejection port forever: guaranteed total stall.
 
     Wedges whichever state the backend reads (the SoA engine copies the
-    object network at construction and never consults it again).
+    object network at construction and never consults it again; the native
+    engine keeps its state in C).
     """
     engine = sim.engine
+    if engine.kind == "native":
+        for rid in range(sim.topology.num_routers):
+            for port in range(tiny_params.topology.p):
+                engine.set_link_busy(rid, port, 10**9)
+        return
     if hasattr(engine, "_st"):
         st = engine._st
         for rid in range(st.R):
